@@ -37,8 +37,9 @@ bench-serving:
 bench-resilience:
 	$(PYTHON) -m pytest benchmarks/bench_resilience.py -q
 
-# Indexed point lookups, sorted range scans and hash joins vs their
-# naive counterparts; writes BENCH_sqlengine.json.
+# Indexed point lookups, sorted range scans, hash joins and compiled
+# expressions (full-scan filter, GROUP BY) vs their naive counterparts;
+# writes BENCH_sqlengine.json.
 bench-sqlengine:
 	$(PYTHON) -m pytest benchmarks/bench_sqlengine.py -q
 

@@ -1,6 +1,6 @@
 """Certifies the planned SQL engine's headline performance claims.
 
-Three workloads, all on :class:`repro.sqlengine.Database`:
+Five workloads, all on :class:`repro.sqlengine.Database`:
 
 1. **Point lookup** — 100k-row table, equality predicate. A full scan
    is measured first, then ``CREATE INDEX`` and the same queries again.
@@ -15,6 +15,12 @@ Three workloads, all on :class:`repro.sqlengine.Database`:
    nested loop visits ``outer x inner`` pairs, so its cost is linear in
    the outer cardinality. Even the *measured* sample alone must be
    slower than the full-size hash join.
+4. **Full-scan filter** and 5. **GROUP BY** — 100k rows, no usable
+   index, so both sides run ``SeqScan``. The planned path (expressions
+   compiled to closures) is timed against ``optimize=False`` (the
+   tree-walking interpreter) on the same data in the same run. The
+   GROUP BY groups on a TEXT column with SUM, AVG and COUNT(*). Both
+   must be at least 3x faster compiled.
 
 EXPLAIN is consulted before each timed section to prove the intended
 plan (SeqScan / IndexScan / IndexRangeScan / HashJoin /
@@ -30,7 +36,7 @@ import pathlib
 import statistics
 import time
 
-from repro.sqlengine import Database
+from repro.sqlengine import Database, parse_sql
 
 OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sqlengine.json"
 
@@ -45,6 +51,9 @@ REPS = 9
 JOIN_ROWS = 10_000
 #: Outer rows actually executed for the nested-loop sample.
 LOOP_SAMPLE = 200
+#: Repetitions per compiled-vs-interpreted query shape.
+COMPILED_REPS = 5
+REGIONS = ("north", "south", "east", "west", "central", "online", "retail")
 
 
 def _percentile(samples: list[float], fraction: float) -> float:
@@ -64,6 +73,62 @@ def _time_queries(db: Database, queries: list[str]) -> list[float]:
 
 def _plan_text(db: Database, sql: str) -> str:
     return "\n".join(row[0] for row in db.execute("EXPLAIN " + sql).rows)
+
+
+def _time_statements(db: Database, queries: list[str]) -> list[float]:
+    """Like :func:`_time_queries`, but straight to the executor: the
+    statement is parsed first and the SQL result cache is bypassed."""
+    samples = []
+    for sql in queries:
+        statement = parse_sql(sql)
+        start = time.perf_counter()
+        db.execute_statement(statement)
+        samples.append(time.perf_counter() - start)
+    return samples
+
+
+def _compiled_vs_interpreted() -> dict:
+    """Full-scan filter and GROUP BY, planned (compiled) vs naive."""
+    rows = [
+        (i, i % N_USERS, (i * 7919) % N_ROWS, REGIONS[(i * 31) % len(REGIONS)],
+         float(i % 97))
+        for i in range(N_ROWS)
+    ]
+    shapes = {
+        "full_scan_filter": [
+            "SELECT sale_id, amount FROM sales_facts "
+            f"WHERE amount > {40_000 + 97 * rep} AND region <> 'east'"
+            for rep in range(COMPILED_REPS)
+        ],
+        "group_by": [
+            "SELECT region, SUM(amount), AVG(score), COUNT(*) "
+            "FROM sales_facts GROUP BY region"
+        ] * COMPILED_REPS,
+    }
+    results: dict = {}
+    timings: dict = {name: {} for name in shapes}
+    for side, optimize in (("compiled", True), ("interpreted", False)):
+        db = Database(name=f"bench_{side}", optimize=optimize)
+        db.execute(
+            "CREATE TABLE sales_facts (sale_id INTEGER PRIMARY KEY, "
+            "user_id INTEGER, amount INTEGER, region TEXT, score REAL)"
+        )
+        db.insert_rows("sales_facts", rows)
+        for name, queries in shapes.items():
+            assert "SeqScan(sales_facts)" in _plan_text(db, queries[0])
+            timings[name][side] = statistics.median(
+                _time_statements(db, queries)
+            )
+        del db
+    for name, sides in timings.items():
+        results[name] = {
+            "rows": N_ROWS,
+            "reps": COMPILED_REPS,
+            "compiled_ms": {"p50": round(sides["compiled"] * 1000, 3)},
+            "interpreted_ms": {"p50": round(sides["interpreted"] * 1000, 3)},
+            "speedup_p50": round(sides["interpreted"] / sides["compiled"], 2),
+        }
+    return results
 
 
 def test_sqlengine_benchmark() -> None:
@@ -150,7 +215,10 @@ def test_sqlengine_benchmark() -> None:
     loop_extrapolated = loop_sample_time * (JOIN_ROWS / LOOP_SAMPLE)
     join_speedup = loop_extrapolated / hash_p50
 
+    compiled = _compiled_vs_interpreted()
+
     payload = {
+        **compiled,
         "point_lookup": {
             "rows": N_ROWS,
             "reps": REPS,
@@ -201,6 +269,12 @@ def test_sqlengine_benchmark() -> None:
         f"(extrapolated from {LOOP_SAMPLE}x{JOIN_ROWS} sample, "
         f"{join_speedup:.0f}x)"
     )
+    for name, row in compiled.items():
+        print(
+            f"  {name:<13}: {row['interpreted_ms']['p50']:8.2f} ms "
+            f"interpreted vs {row['compiled_ms']['p50']:8.2f} ms compiled "
+            f"({row['speedup_p50']:.1f}x)"
+        )
     print(f"  written to   : {OUTPUT.name}")
 
     assert point_speedup >= 10.0, (
@@ -219,3 +293,8 @@ def test_sqlengine_benchmark() -> None:
         f"hash join only {join_speedup:.1f}x faster than extrapolated "
         "nested loop (need 10x)"
     )
+    for name, row in compiled.items():
+        assert row["speedup_p50"] >= 3.0, (
+            f"compiled {name} only {row['speedup_p50']:.1f}x faster than "
+            "the interpreter (need 3x)"
+        )

@@ -126,8 +126,9 @@ class HashingEmbedder:
         ``cache_tag`` capturing the weighting context — e.g. the IDF
         table's token and document count — so a corpus change retires
         the entry. Weighted calls without a tag fall back to
-        :meth:`embed` uncached. Returned vectors are shared across
-        hits; callers must treat them as read-only.
+        :meth:`embed` uncached. The tier keeps only a vector's nonzero
+        entries (a hashed embedding of a short query is mostly zeros),
+        so every call returns a fresh, bit-identical dense vector.
         """
         # Function-level import: the cache's semantic index imports
         # this module, so the reverse edge must stay lazy.
@@ -147,9 +148,12 @@ class HashingEmbedder:
             cache_tag or (),
             text,
         )
-        return manager.cached(
-            "rag", key, lambda: self.embed(text, word_weight)
+        indices, values = manager.cached(
+            "rag", key, lambda: _sparse(self.embed(text, word_weight))
         )
+        vector = np.zeros(self.dim, dtype=np.float64)
+        vector[indices] = values
+        return vector
 
     def embed_batch(
         self,
@@ -221,6 +225,12 @@ class QueryEmbeddingMemo:
             self._features[(shape, text)] = hashed
             self._vectors[vector_key] = vector
         return vector
+
+
+def _sparse(vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero positions and values of ``vector``."""
+    indices = np.flatnonzero(vector)
+    return indices.astype(np.min_scalar_type(vector.size)), vector[indices]
 
 
 class IdfTable:

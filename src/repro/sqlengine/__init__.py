@@ -11,7 +11,9 @@ The engine is a classic pipeline::
 
 Every SELECT is planned by a rule-based optimizer (predicate pushdown,
 secondary-index access paths, hash joins, projection pruning) before it
-runs; ``EXPLAIN <query>`` renders the plan tree. Reads execute
+runs, and its expressions are compiled to closures over tuple rows
+(:mod:`repro.sqlengine.compiler`); ``EXPLAIN <query>`` renders the plan
+tree. Reads execute
 concurrently under a readers-writer lock; writes are exclusive.
 
 Public entry points:

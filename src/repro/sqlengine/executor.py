@@ -1,33 +1,43 @@
 """Statement execution: planned SELECT pipeline, DML and DDL.
 
 Every SELECT core goes through :func:`repro.sqlengine.planner.build_plan`
-first; the executor then runs the plan tree (scans with index access
-paths and pushed filters, hash/nested-loop joins) and the textbook
-pipeline on top::
+first. The executor then binds the plan, once per execution, into a
+runnable query: scans with index access paths and pushed filters,
+hash/nested-loop joins, and the textbook pipeline on top::
 
     FROM/JOIN -> WHERE residual -> GROUP BY -> HAVING -> SELECT
     -> DISTINCT -> ORDER BY -> LIMIT/OFFSET -> compound set operators
 
-Rows flow through as plain tuples alongside a column layout
-``[(binding, name), ...]`` held by :class:`RowContext`. WITH clauses
-materialize each CTE once, eagerly, into a scope frame that shadows
-views and tables for the duration of the owning select.
+Binding fixes every column layout ``[(binding, name), ...]``, so names
+resolve (or fail) before any row is read. Rows flow through as plain
+tuples. On the planned path (``optimize=True``) every expression is a
+closure from :class:`~repro.sqlengine.compiler.Compiler`; with
+``optimize=False`` the same pipeline binds through
+:class:`~repro.sqlengine.expressions.Interpreter`, the tree-walking
+reference. WITH clauses materialize each CTE once per run, eagerly,
+into a scope frame that shadows views and tables for the duration of
+the owning select.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.sqlengine import nodes
 from repro.sqlengine.catalog import Catalog, ColumnSchema, TableSchema
+from repro.sqlengine.compiler import Compiler
 from repro.sqlengine.errors import CatalogError, ExecutionError
-from repro.sqlengine.expressions import Evaluator, RowContext
-from repro.sqlengine.functions import (
-    Aggregate,
-    is_aggregate_function,
-    make_aggregate,
+from repro.sqlengine.expressions import (
+    Evaluator,
+    Interpreter,
+    RowContext,
+    Scope,
+    aggregate_key,
 )
+from repro.sqlengine.functions import is_aggregate_function
 from repro.sqlengine.indexes import IndexInfo, SortedIndex
 from repro.sqlengine.planner import (
     CteScanPlan,
@@ -46,12 +56,14 @@ from repro.sqlengine.planner import (
 from repro.sqlengine.table import Table
 from repro.sqlengine.types import DataType, coerce, sort_key
 
+Columns = list[tuple[Optional[str], str]]
+
 
 @dataclass
 class Relation:
     """An intermediate result: column layout plus rows."""
 
-    columns: list[tuple[Optional[str], str]]
+    columns: Columns
     rows: list[tuple[Any, ...]]
 
     @property
@@ -60,14 +72,26 @@ class Relation:
 
 
 @dataclass
+class _Bound:
+    """A bound query or plan node: its output layout, and ``run(env)``
+    producing its rows (``env`` is the enclosing rows on the planned
+    path, unused on the naive one)."""
+
+    columns: Columns
+    run: Callable[[Any], list[tuple[Any, ...]]]
+
+
+@dataclass
 class _CteSlot:
-    """One WITH-clause binding: the materialized relation plus its
-    lower-cased output column names. During EXPLAIN only the column
-    names are known — ``relation`` stays None."""
+    """One WITH-clause binding: its output column names (lower-cased in
+    ``columns`` for the planner, as written in ``names``) and, while the
+    owning select runs, the materialized relation. During binding and
+    EXPLAIN ``relation`` stays None; EXPLAIN may not know the names."""
 
     name: str
     relation: Optional[Relation]
     columns: Optional[list[str]]
+    names: Optional[list[str]] = None
 
 
 class _PlannerContext:
@@ -103,11 +127,18 @@ class Executor:
         self.enable_hash_join = enable_hash_join
         self.optimize = optimize
         #: WITH-clause scope frames, innermost last; each maps a
-        #: lower-cased CTE name to its materialized slot.
+        #: lower-cased CTE name to its slot.
         self._cte_stack: list[dict[str, _CteSlot]] = []
-        self._evaluator = Evaluator(
-            run_subquery=self._run_subquery, parameters=parameters
-        )
+        self._binder: Any
+        if optimize:
+            self._binder = Compiler(parameters, self._bind_query)
+            self._env: Any = ()
+        else:
+            evaluator = Evaluator(
+                run_subquery=self._run_subquery, parameters=parameters
+            )
+            self._binder = Interpreter(evaluator, self._bind_query)
+            self._env = None
 
     # -- public entry points -------------------------------------------
 
@@ -148,14 +179,26 @@ class Executor:
             return self._execute_drop(statement)
         raise ExecutionError(f"cannot execute statement: {statement!r}")
 
-    def execute_select(
-        self,
-        select: nodes.Select,
-        outer: Optional[RowContext] = None,
-    ) -> Relation:
+    def execute_select(self, select: nodes.Select) -> Relation:
+        query = self._bind_query(select, None)
+        return Relation(query.columns, query.run(self._env))
+
+    def _run_subquery(self, select: nodes.Select, ctx: RowContext) -> Relation:
+        """Naive path: bind and run a subquery per outer row."""
+        query = self._bind_query(select, ctx)
+        return Relation(query.columns, query.run(None))
+
+    # -- binding: queries --------------------------------------------------
+
+    def _bind_query(
+        self, select: nodes.Select, outer: Optional[Scope]
+    ) -> _Bound:
+        """Bind a full select (WITH clause, compound operands) whose
+        correlated names resolve in ``outer``."""
         if not select.ctes:
-            return self._execute_query(select, outer)
+            return self._bind_compound(select, outer)
         frame: dict[str, _CteSlot] = {}
+        bodies: list[tuple[str, _CteSlot, _Bound]] = []
         self._cte_stack.append(frame)
         try:
             for cte in select.ctes:
@@ -165,324 +208,268 @@ class Executor:
                         f"duplicate CTE name {cte.name!r} in WITH clause"
                     )
                 # The CTE's own name is registered only after its body
-                # runs, so self-references fail with the usual "no
+                # is bound, so self-references fail with the usual "no
                 # table" error instead of recursing.
-                relation = _apply_cte_columns(
-                    cte, self.execute_select(cte.query, outer)
+                body = self._bind_query(cte.query, outer)
+                names = _cte_names(cte, body.columns)
+                slot = _CteSlot(
+                    cte.name, None, [name.lower() for name in names], names
                 )
-                frame[key] = _CteSlot(
-                    cte.name,
-                    relation,
-                    [name.lower() for name in relation.column_names],
-                )
-            return self._execute_query(select, outer)
+                frame[key] = slot
+                bodies.append((key, slot, body))
+            main = self._bind_compound(select, outer)
         finally:
             self._cte_stack.pop()
 
-    def _execute_query(
-        self,
-        select: nodes.Select,
-        outer: Optional[RowContext] = None,
-    ) -> Relation:
-        if not select.compound:
-            return self._execute_select_core(select, outer)
-        import dataclasses
+        def run(env: Any) -> list[tuple[Any, ...]]:
+            live: dict[str, _CteSlot] = {}
+            self._cte_stack.append(live)
+            try:
+                for key, slot, body in bodies:
+                    relation = Relation(
+                        [(None, name) for name in slot.names or ()],
+                        body.run(env),
+                    )
+                    live[key] = dataclasses.replace(slot, relation=relation)
+                return main.run(env)
+            finally:
+                self._cte_stack.pop()
 
+        return _Bound(main.columns, run)
+
+    def _bind_compound(
+        self, select: nodes.Select, outer: Optional[Scope]
+    ) -> _Bound:
+        if not select.compound:
+            return self._bind_core(select, outer)
         first = dataclasses.replace(
             select, order_by=(), limit=None, offset=None, compound=()
         )
-        result = self._execute_select_core(first, outer)
+        head = self._bind_core(first, outer)
+        operands = []
         for op, query in select.compound:
-            other = self._execute_select_core(query, outer)
-            if len(other.columns) != len(result.columns):
+            other = self._bind_core(query, outer)
+            if len(other.columns) != len(head.columns):
                 raise ExecutionError(
                     f"{op}: operand column counts differ "
-                    f"({len(result.columns)} vs {len(other.columns)})"
+                    f"({len(head.columns)} vs {len(other.columns)})"
                 )
-            result = _apply_set_operator(op, result, other)
-        return self._sort_and_limit_compound(select, result)
+            operands.append((op, other))
+        # Compound-level ORDER BY / LIMIT apply over the merged rows.
+        scope = self._binder.scope(head.columns, None)
+        order = []
+        for item in select.order_by:
+            ordinal = _ordinal(item.expression)
+            if ordinal is not None:
+                if not 0 <= ordinal < len(head.columns):
+                    raise ExecutionError(
+                        f"ORDER BY position {ordinal + 1} out of range"
+                    )
+                order.append((_position_fn(ordinal), item.descending))
+            else:
+                order.append(
+                    (
+                        self._binder.expression(item.expression, scope),
+                        item.descending,
+                    )
+                )
+        limit = self._bind_limit(select)
 
-    def _sort_and_limit_compound(
-        self, select: nodes.Select, relation: Relation
-    ) -> Relation:
-        """Apply compound-level ORDER BY / LIMIT over the merged rows."""
-        rows = relation.rows
-        if select.order_by:
-            out_ctx = RowContext(
-                relation.columns, [None] * len(relation.columns)
-            )
+        def run(env: Any) -> list[tuple[Any, ...]]:
+            rows = head.run(env)
+            for op, other in operands:
+                rows = _apply_set_operator(op, rows, other.run(env))
+            if order:
+                rows = sorted(rows, key=_sort_key(order, env))
+            if limit is not None:
+                rows = limit(rows, env)
+            return rows
 
-            def key_for(row: tuple) -> list:
-                parts = []
-                for item in select.order_by:
-                    expr = item.expression
-                    if isinstance(expr, nodes.Literal) and isinstance(
-                        expr.value, int
-                    ):
-                        ordinal = expr.value - 1
-                        if not 0 <= ordinal < len(relation.columns):
-                            raise ExecutionError(
-                                f"ORDER BY position {expr.value} out of range"
-                            )
-                        value = row[ordinal]
-                    else:
-                        value = self._evaluator.evaluate(
-                            expr, out_ctx.with_values(row)
-                        )
-                    part = sort_key(value)
-                    parts.append(_invert(part) if item.descending else part)
-                return parts
+        return _Bound(head.columns, run)
 
-            rows = sorted(rows, key=key_for)
-        if select.limit is not None:
-            base_ctx = RowContext([], [])
-            limit = self._evaluator.evaluate(select.limit, base_ctx)
-            offset = 0
-            if select.offset is not None:
-                offset = self._evaluator.evaluate(select.offset, base_ctx)
-            rows = rows[offset : offset + limit]
-        return Relation(relation.columns, list(rows))
+    def _bind_limit(self, select: nodes.Select):
+        """LIMIT/OFFSET as ``fn(rows, env) -> rows``, or None."""
+        if select.limit is None:
+            return None
+        scope = self._binder.scope([], None)
+        limit = self._binder.expression(select.limit, scope)
+        offset = (
+            None
+            if select.offset is None
+            else self._binder.expression(select.offset, scope)
+        )
 
-    # -- SELECT pipeline -------------------------------------------------
+        def apply(rows: list, env: Any) -> list:
+            start = 0 if offset is None else offset((), env)
+            count = limit((), env)
+            if not isinstance(count, int) or not isinstance(start, int):
+                raise ExecutionError("LIMIT/OFFSET must be integers")
+            return rows[start : start + count]
 
-    def _execute_select_core(
-        self,
-        select: nodes.Select,
-        outer: Optional[RowContext],
-    ) -> Relation:
+        return apply
+
+    def _bind_core(
+        self, select: nodes.Select, outer: Optional[Scope]
+    ) -> _Bound:
+        """Bind one SELECT core: source, WHERE residual, grouping or
+        projection, DISTINCT, ORDER BY and LIMIT."""
         plan = self._build_plan(select)
         if plan.source is None:
-            source = Relation(columns=[], rows=[()])
+            source = _Bound([], lambda env: [()])
         else:
-            source = self._run_source_plan(plan.source, outer)
-        ctx = RowContext(source.columns, [None] * len(source.columns), outer)
-
-        if plan.residual is not None:
-            kept = []
-            for row in source.rows:
-                if self._evaluator.evaluate_truth(
-                    plan.residual, ctx.with_values(row)
-                ):
-                    kept.append(row)
-            source = Relation(source.columns, kept)
-
-        items = self._expand_stars(select.items, source.columns)
-        is_grouped = bool(select.group_by) or _uses_aggregates(
-            items, select.having, select.order_by
+            source = self._bind_source(plan.source, outer)
+        binder = self._binder
+        scope = binder.scope(source.columns, outer)
+        residual = (
+            None
+            if plan.residual is None
+            else binder.expression(plan.residual, scope)
         )
-        if is_grouped:
-            relation = self._execute_grouped(select, items, source, ctx)
+        items = self._expand_stars(select.items, source.columns)
+        extras = _order_extras(select.order_by, items)
+        outputs = [item.expression for item in items] + extras
+        if select.group_by or _uses_aggregates(
+            items, select.having, select.order_by
+        ):
+            produce = self._bind_grouped(select, items, outputs, scope)
         else:
-            relation = self._project(items, source, ctx, select.order_by)
+            produce = self._bind_projection(outputs, scope)
 
-        if select.distinct:
-            relation = _distinct(relation)
-        relation = self._order_and_slice(select, relation, outer)
-        return relation
-
-    def _project(
-        self,
-        items: list[nodes.SelectItem],
-        source: Relation,
-        ctx: RowContext,
-        order_by: tuple[nodes.OrderItem, ...],
-    ) -> Relation:
-        out_columns: list[tuple[Optional[str], str]] = [
-            (None, item.output_name) for item in items
+        columns: Columns = [(None, item.output_name) for item in items]
+        visible = len(columns)
+        layout = columns + [
+            (None, f"__order_{i}") for i in range(len(extras))
         ]
-        # ORDER BY may reference source columns not in the select list;
-        # carry their values as hidden extras used only for sorting.
-        extra_exprs = _order_extras(order_by, items)
-        rows: list[tuple[Any, ...]] = []
-        for row in source.rows:
-            row_ctx = ctx.with_values(row)
-            values = [
-                self._evaluator.evaluate(item.expression, row_ctx)
-                for item in items
-            ]
-            extras = [
-                self._evaluator.evaluate(expr, row_ctx)
-                for expr in extra_exprs
-            ]
-            rows.append(tuple(values) + tuple(extras))
-        hidden = [(None, f"__order_{i}") for i in range(len(extra_exprs))]
-        return Relation(out_columns + hidden, rows)
+        order = _order_positions(select.order_by, items, layout)
+        limit = self._bind_limit(select)
+        distinct = select.distinct
 
-    def _execute_grouped(
+        def run(env: Any) -> list[tuple[Any, ...]]:
+            rows = source.run(env)
+            if residual is not None:
+                rows = [row for row in rows if residual(row, env)]
+            rows = produce(rows, env)
+            if distinct:
+                rows = _distinct(rows)
+            if order:
+                rows.sort(key=_sort_key(order, env))
+            if limit is not None:
+                rows = limit(rows, env)
+            if extras:  # strip the hidden ORDER BY helper columns
+                rows = [row[:visible] for row in rows]
+            return rows
+
+        return _Bound(columns, run)
+
+    def _bind_projection(self, outputs: list[nodes.Expression], scope: Scope):
+        binder = self._binder
+        fns = [binder.expression(expr, scope) for expr in outputs]
+        positions = [binder.direct_index(expr, scope) for expr in outputs]
+        if None not in positions:
+            if len(positions) == 1:
+                (index,) = positions
+                return lambda rows, env: [(row[index],) for row in rows]
+            pick = _picker(positions)
+            return lambda rows, env: list(map(pick, rows))
+        if len(fns) == 1:
+            (only,) = fns
+            return lambda rows, env: [(only(row, env),) for row in rows]
+        return lambda rows, env: [
+            tuple([fn(row, env) for fn in fns]) for row in rows
+        ]
+
+    def _bind_grouped(
         self,
         select: nodes.Select,
         items: list[nodes.SelectItem],
-        source: Relation,
-        ctx: RowContext,
-    ) -> Relation:
-        group_exprs = list(select.group_by)
+        outputs: list[nodes.Expression],
+        scope: Scope,
+    ):
+        """GROUP BY: each group's state is ``[first_row, *slots]``; its
+        output row is computed over ``first_row`` extended by the
+        aggregate results, which grouped expressions read by position."""
+        binder = self._binder
+        width = len(scope.columns)
         # Allow GROUP BY to reference select-list aliases or ordinals.
-        group_exprs = [
-            _resolve_output_reference(expr, items) for expr in group_exprs
+        keys = [
+            _resolve_output_reference(expr, items) for expr in select.group_by
         ]
-        aggregate_calls = _collect_aggregates(items, select.having, select.order_by)
+        key_fns = [binder.expression(expr, scope) for expr in keys]
+        key_positions = [binder.direct_index(expr, scope) for expr in keys]
 
-        groups: dict[tuple, dict] = {}
-        group_order: list[tuple] = []
-        for row in source.rows:
-            row_ctx = ctx.with_values(row)
-            key = tuple(
-                _hashable(self._evaluator.evaluate(expr, row_ctx))
-                for expr in group_exprs
-            )
-            state = groups.get(key)
-            if state is None:
-                state = {
-                    "first_row": row,
-                    "aggregates": [
-                        make_aggregate(
-                            call.name,
-                            star=bool(call.args)
-                            and isinstance(call.args[0], nodes.Star),
-                            distinct=call.distinct,
-                        )
-                        for call in aggregate_calls
-                    ],
-                }
-                groups[key] = state
-                group_order.append(key)
-            for call, accumulator in zip(aggregate_calls, state["aggregates"]):
-                if call.args and not isinstance(call.args[0], nodes.Star):
-                    value = self._evaluator.evaluate(call.args[0], row_ctx)
-                else:
-                    value = True  # COUNT(*): presence only
-                accumulator.add(value)
-
-        if not groups and not select.group_by:
-            # Aggregate query over an empty input yields one row.
-            empty_state = {
-                "first_row": tuple([None] * len(source.columns)),
-                "aggregates": [
-                    make_aggregate(
-                        call.name,
-                        star=bool(call.args)
-                        and isinstance(call.args[0], nodes.Star),
-                        distinct=call.distinct,
-                    )
-                    for call in aggregate_calls
-                ],
-            }
-            groups[()] = empty_state
-            group_order.append(())
-
-        out_columns: list[tuple[Optional[str], str]] = [
-            (None, item.output_name) for item in items
+        accumulators = []
+        aggregates: dict[str, int] = {}
+        slot = 1
+        for call in _collect_aggregates(items, select.having, select.order_by):
+            accumulator = binder.accumulator(call, scope, slot)
+            aggregates[aggregate_key(call)] = width + len(accumulators)
+            accumulators.append(accumulator)
+            slot += len(accumulator.initial)
+        initial = [None]
+        for accumulator in accumulators:
+            initial.extend(accumulator.initial)
+        factories = [
+            (a.slot, a.factory) for a in accumulators if a.factory is not None
         ]
-        extra_exprs = _order_extras(select.order_by, items)
-        rows: list[tuple[Any, ...]] = []
-        for key in group_order:
-            state = groups[key]
-            row_ctx = ctx.with_values(state["first_row"])
-            aggregate_values = {
-                _agg_key(call): acc.result()
-                for call, acc in zip(aggregate_calls, state["aggregates"])
-            }
-            evaluator = _GroupEvaluator(
-                self._evaluator, aggregate_values
-            )
-            if select.having is not None:
-                value = evaluator.evaluate(select.having, row_ctx)
-                if value is None or not value:
+        steps = tuple(a.step for a in accumulators)
+        finals = [a.final for a in accumulators]
+        having = (
+            None
+            if select.having is None
+            else binder.expression(select.having, scope, aggregates)
+        )
+        out_fns = [
+            binder.expression(expr, scope, aggregates) for expr in outputs
+        ]
+        single = len(keys) == 1
+        grand_total = not keys
+
+        def group_key(env: Any) -> Callable[[tuple], Any]:
+            if grand_total:
+                return lambda row: ()
+            if None not in key_positions:
+                return operator.itemgetter(*key_positions)
+            if single:
+                (only,) = key_fns
+                return lambda row: only(row, env)
+            return lambda row: tuple([fn(row, env) for fn in key_fns])
+
+        def new_state(row: tuple) -> list:
+            state = initial.copy()
+            state[0] = row
+            for position, factory in factories:
+                state[position] = factory()
+            return state
+
+        def produce(rows: list, env: Any) -> list:
+            key_of = group_key(env)
+            groups: dict[Any, list] = {}
+            lookup = groups.get
+            for row in rows:
+                key = key_of(row)
+                try:
+                    state = lookup(key)
+                except TypeError:  # unhashable values group by repr
+                    key = _hashable_key(key, single)
+                    state = lookup(key)
+                if state is None:
+                    state = groups[key] = new_state(row)
+                for step in steps:
+                    step(state, row, env)
+            if not groups and grand_total:
+                # Aggregate query over an empty input yields one row.
+                groups[()] = new_state(tuple([None] * width))
+            out = []
+            for state in groups.values():
+                row = state[0] + tuple([final(state) for final in finals])
+                if having is not None and not having(row, env):
                     continue
-            values = [
-                evaluator.evaluate(item.expression, row_ctx) for item in items
-            ]
-            extras = [
-                evaluator.evaluate(expr, row_ctx) for expr in extra_exprs
-            ]
-            rows.append(tuple(values) + tuple(extras))
-        hidden = [(None, f"__order_{i}") for i in range(len(extra_exprs))]
-        return Relation(out_columns + hidden, rows)
+                out.append(tuple([fn(row, env) for fn in out_fns]))
+            return out
 
-    def _order_and_slice(
-        self,
-        select: nodes.Select,
-        relation: Relation,
-        outer: Optional[RowContext],
-    ) -> Relation:
-        visible = len(select.items)
-        if any(isinstance(i.expression, nodes.Star) for i in select.items):
-            visible = len(relation.columns) - sum(
-                1 for _b, name in relation.columns if name.startswith("__order_")
-            )
-        if select.order_by:
-            out_ctx = RowContext(
-                relation.columns, [None] * len(relation.columns)
-            )
-            keys: list[tuple[int, Any]] = []
+        return produce
 
-            def order_value(row: tuple, item: nodes.OrderItem, position: int):
-                expr = item.expression
-                if isinstance(expr, nodes.Literal) and isinstance(
-                    expr.value, int
-                ):
-                    ordinal = expr.value - 1
-                    if 0 <= ordinal < visible:
-                        return row[ordinal]
-                    raise ExecutionError(
-                        f"ORDER BY position {expr.value} out of range"
-                    )
-                hidden_name = f"__order_{position}"
-                hidden_index = _find_column(relation.columns, hidden_name)
-                if hidden_index is not None:
-                    return row[hidden_index]
-                return self._evaluator.evaluate(
-                    expr, out_ctx.with_values(row)
-                )
-
-            extra_positions = _order_extra_positions(
-                select.order_by, list(select.items)
-            )
-            decorated = []
-            for row in relation.rows:
-                key_parts = []
-                for item in select.order_by:
-                    position = extra_positions.get(id(item), -1)
-                    value = order_value(row, item, position)
-                    part = sort_key(value)
-                    key_parts.append((part, item.descending))
-                decorated.append((key_parts, row))
-
-            def compare_key(entry):
-                parts = []
-                for part, descending in entry[0]:
-                    parts.append(_invert(part) if descending else part)
-                return parts
-
-            decorated.sort(key=compare_key)
-            relation = Relation(relation.columns, [r for _k, r in decorated])
-
-        rows = relation.rows
-        if select.limit is not None:
-            base_ctx = RowContext([], [])
-            limit = self._evaluator.evaluate(select.limit, base_ctx)
-            offset = 0
-            if select.offset is not None:
-                offset = self._evaluator.evaluate(select.offset, base_ctx)
-            if not isinstance(limit, int) or (
-                offset is not None and not isinstance(offset, int)
-            ):
-                raise ExecutionError("LIMIT/OFFSET must be integers")
-            rows = rows[offset : offset + limit]
-
-        # Strip hidden ORDER BY helper columns.
-        keep = [
-            index
-            for index, (_binding, name) in enumerate(relation.columns)
-            if not name.startswith("__order_")
-        ]
-        if len(keep) != len(relation.columns):
-            columns = [relation.columns[i] for i in keep]
-            rows = [tuple(row[i] for i in keep) for row in rows]
-            return Relation(columns, rows)
-        return Relation(relation.columns, list(rows))
-
-    # -- plan construction and runtime -------------------------------------
+    # -- plan construction and binding: sources -----------------------------
 
     def _build_plan(self, select: nodes.Select) -> SelectPlan:
         return build_plan(
@@ -507,213 +494,251 @@ class Executor:
             return "table", self._catalog.table(name)
         return None, None
 
-    def _run_source_plan(
-        self, plan: SourcePlan, outer: Optional[RowContext]
-    ) -> Relation:
-        if isinstance(plan, ScanPlan):
-            return self._run_scan(plan, outer)
-        if isinstance(plan, (ViewScanPlan, SubqueryScanPlan)):
-            assert plan.query is not None
-            inner = self.execute_select(plan.query, outer)
-            return self._rebind_and_filter(plan, inner, outer)
-        if isinstance(plan, CteScanPlan):
-            return self._rebind_and_filter(
-                plan, self._cte_relation(plan.name), outer
-            )
-        if isinstance(plan, JoinPlan):
-            return self._run_join_plan(plan, outer)
-        raise ExecutionError(f"unsupported plan node: {plan!r}")
-
-    def _cte_relation(self, name: str) -> Relation:
+    def _cte_slot(self, name: str) -> _CteSlot:
         key = name.lower()
         for frame in reversed(self._cte_stack):
             slot = frame.get(key)
-            if slot is not None and slot.relation is not None:
-                return slot.relation
-        raise ExecutionError(f"CTE {name!r} is not materialized")
+            if slot is not None:
+                return slot
+        raise ExecutionError(f"CTE {name!r} is not bound")
 
-    def _rebind_and_filter(
-        self,
-        plan: SourcePlan,
-        inner: Relation,
-        outer: Optional[RowContext],
-    ) -> Relation:
-        relation = Relation(
-            [(plan.binding, name) for _b, name in inner.columns],
-            inner.rows,
-        )
-        return self._apply_plan_filter(plan, relation, outer)
+    def _bind_source(self, plan: SourcePlan, outer: Optional[Scope]) -> _Bound:
+        if isinstance(plan, ScanPlan):
+            return self._bind_scan(plan, outer)
+        if isinstance(plan, (ViewScanPlan, SubqueryScanPlan)):
+            assert plan.query is not None
+            inner = self._bind_query(plan.query, outer)
+            columns = [(plan.binding, name) for _b, name in inner.columns]
+            return self._bind_filter(plan, _Bound(columns, inner.run), outer)
+        if isinstance(plan, CteScanPlan):
+            names = self._cte_slot(plan.name).names or []
 
-    def _apply_plan_filter(
-        self,
-        plan: SourcePlan,
-        relation: Relation,
-        outer: Optional[RowContext],
-    ) -> Relation:
-        """Run a scan's pushed-down conjuncts over its rows."""
+            def materialized(env: Any) -> list[tuple[Any, ...]]:
+                relation = self._cte_slot(plan.name).relation
+                if relation is None:
+                    raise ExecutionError(f"CTE {plan.name!r} is not materialized")
+                return relation.rows
+
+            columns = [(plan.binding, name) for name in names]
+            return self._bind_filter(plan, _Bound(columns, materialized), outer)
+        if isinstance(plan, JoinPlan):
+            return self._bind_join(plan, outer)
+        raise ExecutionError(f"unsupported plan node: {plan!r}")
+
+    def _bind_filter(
+        self, plan: SourcePlan, source: _Bound, outer: Optional[Scope]
+    ) -> _Bound:
+        """Apply a scan's pushed-down conjuncts over its rows."""
         if plan.filter is None:
-            return relation
-        ctx = RowContext(
-            relation.columns, [None] * len(relation.columns), outer
+            return source
+        keep = self._binder.expression(
+            plan.filter, self._binder.scope(source.columns, outer)
         )
-        kept = [
-            row
-            for row in relation.rows
-            if self._evaluator.evaluate_truth(
-                plan.filter, ctx.with_values(row)
-            )
-        ]
-        return Relation(relation.columns, kept)
+        fetch = source.run
+        return _Bound(
+            source.columns,
+            lambda env: [row for row in fetch(env) if keep(row, env)],
+        )
 
-    def _run_scan(
-        self, plan: ScanPlan, outer: Optional[RowContext]
-    ) -> Relation:
+    def _bind_scan(self, plan: ScanPlan, outer: Optional[Scope]) -> _Bound:
         table = self._storage(plan.table)
-        rows = self._access_rows(table, plan.access, outer)
         columns = [
             (plan.binding, column.name) for column in table.schema.columns
         ]
-        relation = self._apply_plan_filter(
-            plan, Relation(columns, rows), outer
-        )
-        if plan.columns is not None:
-            keep = [
-                table.schema.column_index(name) for name in plan.columns
-            ]
-            relation = Relation(
-                [columns[i] for i in keep],
-                [tuple(row[i] for i in keep) for row in relation.rows],
+        fetch = self._bind_access(table, plan.access, outer)
+        if plan.columns is None:
+            return self._bind_filter(plan, _Bound(columns, fetch), outer)
+        # Projection pruning: the filter sees whole heap rows, the
+        # output keeps only the referenced columns.
+        keep = [table.schema.column_index(name) for name in plan.columns]
+        pruned = [columns[i] for i in keep]
+        check = None
+        if plan.filter is not None:
+            check = self._binder.expression(
+                plan.filter, self._binder.scope(columns, outer)
             )
-        return relation
+        if len(keep) == 1:
+            (index,) = keep
+            if check is None:
+                return _Bound(
+                    pruned, lambda env: [(row[index],) for row in fetch(env)]
+                )
+            return _Bound(
+                pruned,
+                lambda env: [
+                    (row[index],) for row in fetch(env) if check(row, env)
+                ],
+            )
+        pick = _picker(keep)
+        if check is None:
+            return _Bound(pruned, lambda env: list(map(pick, fetch(env))))
+        return _Bound(
+            pruned,
+            lambda env: [pick(row) for row in fetch(env) if check(row, env)],
+        )
 
-    def _access_rows(
-        self,
-        plan_table: Table,
-        access: Any,
-        outer: Optional[RowContext],
-    ) -> list[tuple[Any, ...]]:
+    def _bind_access(
+        self, table: Table, access: Any, outer: Optional[Scope]
+    ) -> Callable[[Any], list[tuple[Any, ...]]]:
         """Fetch candidate rows through the plan's access path.
 
         Index paths only *pre-filter*: the scan filter re-checks every
         row, so falling back to a full snapshot is always safe.
         """
-        base_ctx = RowContext([], [], outer)
         if isinstance(access, IndexEqAccess):
-            values = []
-            for column_name, expr in zip(
-                access.index.columns, access.values
-            ):
-                value = self._evaluator.evaluate(expr, base_ctx)
-                if value is None:
-                    return []  # col = NULL matches nothing
-                column = plan_table.schema.column(column_name)
-                try:
-                    values.append(coerce(value, column.data_type))
-                except Exception:
-                    return plan_table.snapshot()  # type mismatch
-            index = plan_table.get_index(access.index.name)
-            return plan_table.rows_at(index.lookup(tuple(values)))
+            scope = self._binder.scope([], outer)
+            probes = [
+                (table.schema.column(column), self._binder.expression(expr, scope))
+                for column, expr in zip(access.index.columns, access.values)
+            ]
+
+            def point(env: Any) -> list[tuple[Any, ...]]:
+                values = []
+                for column, probe in probes:
+                    value = probe((), env)
+                    if value is None:
+                        return []  # col = NULL matches nothing
+                    try:
+                        values.append(coerce(value, column.data_type))
+                    except Exception:
+                        return table.snapshot()  # type mismatch
+                index = table.get_index(access.index.name)
+                return table.rows_at(index.lookup(tuple(values)))
+
+            return point
         if isinstance(access, IndexRangeAccess):
-            index = plan_table.get_index(access.index.name)
-            if not isinstance(index, SortedIndex):
-                return plan_table.snapshot()
-            column = plan_table.schema.column(access.column)
-            bounds: dict[str, Any] = {"low": None, "high": None}
-            for side, expr in (("low", access.low), ("high", access.high)):
-                if expr is None:
-                    continue
-                value = self._evaluator.evaluate(expr, base_ctx)
-                if value is None:
-                    return []  # range against NULL matches nothing
-                try:
-                    bounds[side] = coerce(value, column.data_type)
-                except Exception:
-                    return plan_table.snapshot()
-            positions = index.range_lookup(
-                bounds["low"],
-                bounds["high"],
-                low_inclusive=access.low_inclusive,
-                high_inclusive=access.high_inclusive,
-            )
-            return plan_table.rows_at(positions)
-        return plan_table.snapshot()
+            scope = self._binder.scope([], outer)
+            column = table.schema.column(access.column)
+            sides = [
+                (side, self._binder.expression(expr, scope))
+                for side, expr in (("low", access.low), ("high", access.high))
+                if expr is not None
+            ]
 
-    def _run_join_plan(
-        self, plan: JoinPlan, outer: Optional[RowContext]
-    ) -> Relation:
+            def ranged(env: Any) -> list[tuple[Any, ...]]:
+                index = table.get_index(access.index.name)
+                if not isinstance(index, SortedIndex):
+                    return table.snapshot()
+                bounds: dict[str, Any] = {"low": None, "high": None}
+                for side, bound in sides:
+                    value = bound((), env)
+                    if value is None:
+                        return []  # range against NULL matches nothing
+                    try:
+                        bounds[side] = coerce(value, column.data_type)
+                    except Exception:
+                        return table.snapshot()
+                positions = index.range_lookup(
+                    bounds["low"],
+                    bounds["high"],
+                    low_inclusive=access.low_inclusive,
+                    high_inclusive=access.high_inclusive,
+                )
+                return table.rows_at(positions)
+
+            return ranged
+        return lambda env: table.snapshot()
+
+    def _bind_join(self, plan: JoinPlan, outer: Optional[Scope]) -> _Bound:
         assert plan.left is not None and plan.right is not None
-        left = self._run_source_plan(plan.left, outer)
-        right = self._run_source_plan(plan.right, outer)
+        left = self._bind_source(plan.left, outer)
+        right = self._bind_source(plan.right, outer)
         columns = left.columns + right.columns
-        ctx = RowContext(columns, [None] * len(columns), outer)
-        rows: list[tuple[Any, ...]] = []
-        if plan.join_type == "CROSS":
-            for lrow in left.rows:
-                for rrow in right.rows:
-                    rows.append(lrow + rrow)
-            return Relation(columns, rows)
+        join_type = plan.join_type
+        if join_type == "CROSS":
 
-        condition = plan.condition
-        matched_right: set[int] = set()
+            def cross(env: Any) -> list[tuple[Any, ...]]:
+                rrows = right.run(env)
+                return [lrow + rrow for lrow in left.run(env) for rrow in rrows]
+
+            return _Bound(columns, cross)
+        scope = self._binder.scope(columns, outer)
+        condition = (
+            None
+            if plan.condition is None
+            else self._binder.expression(plan.condition, scope)
+        )
+        equi: Optional[tuple[int, int]] = None
+        if plan.strategy == "hash" and plan.equi is not None:
+            # Resolve the planner's equi-conjunct refs against each
+            # input's layout; fall back to a nested loop when either
+            # side fails to resolve uniquely.
+            left_pos = _resolve_position(plan.equi[0], left.columns)
+            right_pos = _resolve_position(plan.equi[1], right.columns)
+            if left_pos is not None and right_pos is not None:
+                equi = (left_pos, right_pos)
+                if self._is_key_equality(
+                    plan.condition, scope, left_pos, len(left.columns) + right_pos
+                ):
+                    # Equal dict keys are equal under SQL '=' too, so
+                    # the condition holds for every candidate pair.
+                    condition = None
+        outer_left = join_type in ("LEFT", "FULL")
+        outer_right = join_type in ("RIGHT", "FULL")
         null_right = tuple([None] * len(right.columns))
         null_left = tuple([None] * len(left.columns))
 
-        equi: Optional[tuple[int, int]] = None
-        if plan.strategy == "hash" and plan.equi is not None:
-            # Re-resolve the planner's equi-conjunct refs against the
-            # runtime layouts; fall back to a nested loop when either
-            # side fails to resolve uniquely.
-            left_ref, right_ref = plan.equi
-            left_pos = _resolve_position(left_ref, left.columns)
-            right_pos = _resolve_position(right_ref, right.columns)
-            if left_pos is not None and right_pos is not None:
-                equi = (left_pos, right_pos)
-        if equi is not None:
-            # Hash join: build on the right input, probe with the left.
-            # The full ON condition is still evaluated per candidate
-            # pair, so extra conjuncts remain correct.
-            left_pos, right_pos = equi
-            buckets: dict[Any, list[int]] = {}
-            for rindex, rrow in enumerate(right.rows):
-                key = rrow[right_pos]
-                if key is not None:
-                    buckets.setdefault(key, []).append(rindex)
-            for lrow in left.rows:
-                matched = False
-                key = lrow[left_pos]
-                for rindex in buckets.get(key, ()) if key is not None else ():
-                    rrow = right.rows[rindex]
-                    combined = lrow + rrow
-                    if self._evaluator.evaluate_truth(
-                        condition, ctx.with_values(combined)
-                    ):
-                        matched = True
-                        matched_right.add(rindex)
-                        rows.append(combined)
-                if not matched and plan.join_type in ("LEFT", "FULL"):
-                    rows.append(lrow + null_right)
-        else:
-            for lrow in left.rows:
-                matched = False
-                for rindex, rrow in enumerate(right.rows):
-                    combined = lrow + rrow
-                    ok = (
-                        condition is None
-                        or self._evaluator.evaluate_truth(
-                            condition, ctx.with_values(combined)
-                        )
-                    )
-                    if ok:
-                        matched = True
-                        matched_right.add(rindex)
-                        rows.append(combined)
-                if not matched and plan.join_type in ("LEFT", "FULL"):
-                    rows.append(lrow + null_right)
-        if plan.join_type in ("RIGHT", "FULL"):
-            for rindex, rrow in enumerate(right.rows):
-                if rindex not in matched_right:
-                    rows.append(null_left + rrow)
-        return Relation(columns, rows)
+        def run(env: Any) -> list[tuple[Any, ...]]:
+            lrows = left.run(env)
+            rrows = right.run(env)
+            rows: list[tuple[Any, ...]] = []
+            matched_right: set[int] = set()
+            if equi is not None:
+                # Hash join: build on the right input, probe with the left.
+                left_pos, right_pos = equi
+                buckets: dict[Any, list[int]] = {}
+                for rindex, rrow in enumerate(rrows):
+                    key = rrow[right_pos]
+                    if key is not None:
+                        buckets.setdefault(key, []).append(rindex)
+                for lrow in lrows:
+                    matched = False
+                    key = lrow[left_pos]
+                    for rindex in buckets.get(key, ()) if key is not None else ():
+                        combined = lrow + rrows[rindex]
+                        if condition is None or condition(combined, env):
+                            matched = True
+                            matched_right.add(rindex)
+                            rows.append(combined)
+                    if not matched and outer_left:
+                        rows.append(lrow + null_right)
+            else:
+                for lrow in lrows:
+                    matched = False
+                    for rindex, rrow in enumerate(rrows):
+                        combined = lrow + rrow
+                        if condition is None or condition(combined, env):
+                            matched = True
+                            matched_right.add(rindex)
+                            rows.append(combined)
+                    if not matched and outer_left:
+                        rows.append(lrow + null_right)
+            if outer_right:
+                for rindex, rrow in enumerate(rrows):
+                    if rindex not in matched_right:
+                        rows.append(null_left + rrow)
+            return rows
+
+        return _Bound(columns, run)
+
+    def _is_key_equality(
+        self,
+        condition: Optional[nodes.Expression],
+        scope: Scope,
+        left_pos: int,
+        right_pos: int,
+    ) -> bool:
+        """True when ``condition`` is exactly ``left = right`` over the
+        two hash-join key columns of the combined row."""
+        if not (
+            isinstance(condition, nodes.BinaryOp) and condition.op == "="
+        ):
+            return False
+        sides = {
+            self._binder.direct_index(condition.left, scope),
+            self._binder.direct_index(condition.right, scope),
+        }
+        return sides == {left_pos, right_pos}
 
     # -- DML / DDL -----------------------------------------------------------
 
@@ -742,7 +767,6 @@ class Executor:
             return full
 
         count = 0
-        empty_ctx = RowContext([], [])
         if statement.query is not None:
             result = self.execute_select(statement.query)
             for row in result.rows:
@@ -750,36 +774,44 @@ class Executor:
                 count += 1
         else:
             for value_exprs in statement.rows:
-                values = [
-                    self._evaluator.evaluate(expr, empty_ctx)
-                    for expr in value_exprs
-                ]
+                values = [self._constant(expr) for expr in value_exprs]
                 table.insert(build_row(values))
                 count += 1
         return _rowcount_relation(count)
 
+    def _constant(self, expr: nodes.Expression) -> Any:
+        """Evaluate an expression that reads no row."""
+        scope = self._binder.scope([], None)
+        return self._binder.expression(expr, scope)((), self._env)
+
+    def _table_scope(self, table_name: str, table: Table) -> Scope:
+        """The layout of whole heap rows of ``table``."""
+        columns = [
+            (table_name, column.name) for column in table.schema.columns
+        ]
+        return self._binder.scope(columns, None)
+
     def _execute_update(self, statement: nodes.Update) -> Relation:
         table = self._storage(statement.table)
         schema = table.schema
+        scope = self._table_scope(statement.table, table)
+        where = (
+            None
+            if statement.where is None
+            else self._binder.expression(statement.where, scope)
+        )
         assignments = [
-            (schema.column_index(name), expr)
+            (schema.column_index(name), self._binder.expression(expr, scope))
             for name, expr in statement.assignments
         ]
-        columns = [
-            (statement.table, column.name) for column in schema.columns
-        ]
-        ctx = RowContext(columns, [None] * len(columns))
+        env = self._env
         new_rows: list[tuple[Any, ...]] = []
         count = 0
         for row in table.rows():
-            row_ctx = ctx.with_values(row)
-            matches = statement.where is None or self._evaluator.evaluate_truth(
-                statement.where, row_ctx
-            )
-            if matches:
+            if where is None or where(row, env):
                 updated = list(row)
-                for index, expr in assignments:
-                    updated[index] = self._evaluator.evaluate(expr, row_ctx)
+                for index, value in assignments:
+                    updated[index] = value(row, env)
                 new_rows.append(tuple(updated))
                 count += 1
             else:
@@ -789,18 +821,17 @@ class Executor:
 
     def _execute_delete(self, statement: nodes.Delete) -> Relation:
         table = self._storage(statement.table)
-        columns = [
-            (statement.table, column.name)
-            for column in table.schema.columns
-        ]
-        ctx = RowContext(columns, [None] * len(columns))
+        scope = self._table_scope(statement.table, table)
+        where = (
+            None
+            if statement.where is None
+            else self._binder.expression(statement.where, scope)
+        )
+        env = self._env
         kept: list[tuple[Any, ...]] = []
         count = 0
         for row in table.rows():
-            matches = statement.where is None or self._evaluator.evaluate_truth(
-                statement.where, ctx.with_values(row)
-            )
-            if matches:
+            if where is None or where(row, env):
                 count += 1
             else:
                 kept.append(row)
@@ -812,14 +843,11 @@ class Executor:
             if statement.if_not_exists:
                 return _rowcount_relation(0)
             raise CatalogError(f"table {statement.name!r} already exists")
-        empty_ctx = RowContext([], [])
         columns = []
         for definition in statement.columns:
             default = None
             if definition.default is not None:
-                default = self._evaluator.evaluate(
-                    definition.default, empty_ctx
-                )
+                default = self._constant(definition.default)
             columns.append(
                 ColumnSchema(
                     name=definition.name,
@@ -931,11 +959,6 @@ class Executor:
             raise CatalogError(f"no table named {name!r}")
         return table
 
-    def _run_subquery(
-        self, select: nodes.Select, outer: Optional[RowContext]
-    ) -> Relation:
-        return self.execute_select(select, outer)
-
     def _expand_stars(
         self,
         items: tuple[nodes.SelectItem, ...],
@@ -959,79 +982,22 @@ class Executor:
         return expanded
 
 
-class _GroupEvaluator:
-    """Evaluator view that substitutes aggregate results by call shape."""
-
-    def __init__(
-        self, base: Evaluator, aggregate_values: dict[str, Any]
-    ) -> None:
-        self._base = base
-        self._values = aggregate_values
-
-    def evaluate(self, expr: nodes.Expression, ctx: RowContext) -> Any:
-        if isinstance(expr, nodes.FunctionCall) and is_aggregate_function(
-            expr.name
-        ):
-            key = _agg_key(expr)
-            if key in self._values:
-                return self._values[key]
-            raise ExecutionError(
-                f"aggregate {expr.to_sql()} was not accumulated"
-            )
-        if isinstance(expr, nodes.BinaryOp):
-            left = self.evaluate(expr.left, ctx)
-            right = self.evaluate(expr.right, ctx)
-            return self._base._binary(  # reuse scalar operator logic
-                nodes.BinaryOp(expr.op, nodes.Literal(left), nodes.Literal(right)),
-                ctx,
-            )
-        if isinstance(expr, nodes.UnaryOp):
-            inner = self.evaluate(expr.operand, ctx)
-            return self._base._unary(
-                nodes.UnaryOp(expr.op, nodes.Literal(inner)), ctx
-            )
-        if isinstance(expr, nodes.Case):
-            for condition, result in expr.branches:
-                value = self.evaluate(condition, ctx)
-                if value is not None and value:
-                    return self.evaluate(result, ctx)
-            if expr.default is not None:
-                return self.evaluate(expr.default, ctx)
-            return None
-        if isinstance(expr, nodes.FunctionCall):
-            from repro.sqlengine.functions import call_scalar
-
-            args = [self.evaluate(arg, ctx) for arg in expr.args]
-            return call_scalar(expr.name, args)
-        if isinstance(expr, nodes.Cast):
-            from repro.sqlengine.types import coerce as _coerce
-
-            value = self.evaluate(expr.operand, ctx)
-            return _coerce(value, DataType.from_name(expr.type_name))
-        return self._base.evaluate(expr, ctx)
-
-
-def _agg_key(call: nodes.FunctionCall) -> str:
-    return call.to_sql().upper()
-
-
 def _rowcount_relation(count: int) -> Relation:
     """DML statements report their affected-row count as a relation."""
     return Relation(columns=[(None, "rowcount")], rows=[(count,)])
 
 
-def _apply_cte_columns(
-    cte: nodes.CommonTableExpr, relation: Relation
-) -> Relation:
-    """Apply a CTE's declared column list, checking arity."""
+def _cte_names(cte: nodes.CommonTableExpr, columns: Columns) -> list[str]:
+    """A CTE's output names: its declared column list (arity-checked)
+    or its body's."""
     if not cte.columns:
-        return relation
-    if len(cte.columns) != len(relation.columns):
+        return [name for _binding, name in columns]
+    if len(cte.columns) != len(columns):
         raise ExecutionError(
             f"CTE {cte.name!r} declares {len(cte.columns)} columns but "
-            f"its query returns {len(relation.columns)}"
+            f"its query returns {len(columns)}"
         )
-    return Relation([(None, name) for name in cte.columns], relation.rows)
+    return list(cte.columns)
 
 
 def _resolve_position(
@@ -1057,13 +1023,7 @@ def _uses_aggregates(
     having: Optional[nodes.Expression],
     order_by: tuple[nodes.OrderItem, ...],
 ) -> bool:
-    for expr in _all_expressions(items, having, order_by):
-        for sub in nodes.walk_expressions(expr):
-            if isinstance(sub, nodes.FunctionCall) and is_aggregate_function(
-                sub.name
-            ):
-                return True
-    return False
+    return bool(_collect_aggregates(items, having, order_by))
 
 
 def _collect_aggregates(
@@ -1077,7 +1037,7 @@ def _collect_aggregates(
             if isinstance(sub, nodes.FunctionCall) and is_aggregate_function(
                 sub.name
             ):
-                calls.setdefault(_agg_key(sub), sub)
+                calls.setdefault(aggregate_key(sub), sub)
     return list(calls.values())
 
 
@@ -1121,32 +1081,84 @@ def _order_extras(
     return extras
 
 
-def _order_extra_positions(
+def _ordinal(expr: nodes.Expression) -> Optional[int]:
+    """The zero-based position an ``ORDER BY <integer>`` names."""
+    if isinstance(expr, nodes.Literal) and isinstance(expr.value, int):
+        return expr.value - 1
+    return None
+
+
+def _order_positions(
     order_by: tuple[nodes.OrderItem, ...],
     items: list[nodes.SelectItem],
-) -> dict[int, int]:
-    positions: dict[int, int] = {}
-    counter = 0
+    columns: Columns,
+) -> list[tuple[Callable[[tuple, Any], Any], bool]]:
+    """Resolve each ORDER BY item of a SELECT core to a position in its
+    output rows (``columns``: the select list, then one hidden column
+    per :func:`_order_extras` expression): an ordinal, the item's hidden
+    column, or the output column it names."""
+    visible = len(items)
+    output = Scope(columns)
+    order = []
+    extra = 0
     for item in order_by:
-        if _order_extra_needed(item, items):
-            positions[id(item)] = counter
-            counter += 1
-    return positions
+        position = _ordinal(item.expression)
+        if position is not None:
+            if not 0 <= position < visible:
+                raise ExecutionError(
+                    f"ORDER BY position {position + 1} out of range"
+                )
+        elif _order_extra_needed(item, items):
+            position = visible + extra
+            extra += 1
+        else:
+            ref = item.expression
+            assert isinstance(ref, nodes.ColumnRef)
+            _depth, position = output.resolve(ref.name)
+        order.append((_position_fn(position), item.descending))
+    return order
+
+
+def _picker(positions: list) -> Callable[[tuple], tuple]:
+    """Row -> tuple of the values at ``positions`` (two or more, or
+    none)."""
+    if not positions:
+        return lambda row: ()
+    return operator.itemgetter(*positions)
+
+
+def _position_fn(position: int) -> Callable[[tuple, Any], Any]:
+    return lambda row, env: row[position]
+
+
+def _sort_key(
+    order: list[tuple[Callable[[tuple, Any], Any], bool]], env: Any
+) -> Callable[[tuple], Any]:
+    """A sort key over rows: NULLs first, DESC parts inverted."""
+    if len(order) == 1 and not order[0][1]:
+        (value, _descending), = order
+        return lambda row: sort_key(value(row, env))
+
+    def key(row: tuple) -> list:
+        parts = []
+        for value, descending in order:
+            part = sort_key(value(row, env))
+            parts.append(_invert(part) if descending else part)
+        return parts
+
+    return key
 
 
 def _order_extra_needed(
     item: nodes.OrderItem, items: list[nodes.SelectItem]
 ) -> bool:
     expr = item.expression
-    if isinstance(expr, nodes.Literal) and isinstance(expr.value, int):
+    if _ordinal(expr) is not None:
         return False
     if isinstance(expr, nodes.ColumnRef) and expr.table is None:
         for select_item in items:
             if select_item.output_name.lower() == expr.name.lower():
                 return False
-    # Star select lists keep all source columns, so a plain column ref
-    # resolves against the output either way; still carry an extra to be
-    # safe for computed expressions.
     return True
 
 
@@ -1156,52 +1168,43 @@ def _hashable(value: Any) -> Any:
     return value
 
 
-def _distinct(relation: Relation) -> Relation:
+def _hashable_key(key: Any, single: bool) -> Any:
+    if single:
+        return _hashable(key)
+    return tuple(_hashable(v) for v in key)
+
+
+def _distinct(rows: list[tuple[Any, ...]]) -> list[tuple[Any, ...]]:
     seen: set = set()
-    rows: list[tuple[Any, ...]] = []
-    for row in relation.rows:
+    out: list[tuple[Any, ...]] = []
+    for row in rows:
         key = tuple(_hashable(v) for v in row)
         if key in seen:
             continue
         seen.add(key)
-        rows.append(row)
-    return Relation(relation.columns, rows)
+        out.append(row)
+    return out
 
 
-def _apply_set_operator(op: str, left: Relation, right: Relation) -> Relation:
+def _apply_set_operator(
+    op: str, left: list[tuple[Any, ...]], right: list[tuple[Any, ...]]
+) -> list[tuple[Any, ...]]:
     if op == "UNION ALL":
-        return Relation(left.columns, left.rows + right.rows)
-    left_keys = [tuple(_hashable(v) for v in row) for row in left.rows]
-    right_keys = {tuple(_hashable(v) for v in row) for row in right.rows}
+        return left + right
     if op == "UNION":
-        merged = _distinct(Relation(left.columns, left.rows + right.rows))
-        return merged
-    if op == "INTERSECT":
-        rows = []
-        seen: set = set()
-        for key, row in zip(left_keys, left.rows):
-            if key in right_keys and key not in seen:
-                seen.add(key)
-                rows.append(row)
-        return Relation(left.columns, rows)
-    if op == "EXCEPT":
-        rows = []
-        seen = set()
-        for key, row in zip(left_keys, left.rows):
-            if key not in right_keys and key not in seen:
-                seen.add(key)
-                rows.append(row)
-        return Relation(left.columns, rows)
-    raise ExecutionError(f"unknown set operator: {op}")
-
-
-def _find_column(
-    columns: list[tuple[Optional[str], str]], name: str
-) -> Optional[int]:
-    for index, (_binding, column_name) in enumerate(columns):
-        if column_name == name:
-            return index
-    return None
+        return _distinct(left + right)
+    right_keys = {tuple(_hashable(v) for v in row) for row in right}
+    if op not in ("INTERSECT", "EXCEPT"):
+        raise ExecutionError(f"unknown set operator: {op}")
+    wanted = op == "INTERSECT"
+    rows = []
+    seen: set = set()
+    for row in left:
+        key = tuple(_hashable(v) for v in row)
+        if (key in right_keys) == wanted and key not in seen:
+            seen.add(key)
+            rows.append(row)
+    return rows
 
 
 def _invert(part: tuple) -> tuple:

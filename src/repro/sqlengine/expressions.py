@@ -1,36 +1,42 @@
-"""Expression evaluation over row contexts.
+"""Expression evaluation over row contexts: the naive reference path.
 
-A :class:`RowContext` binds ``(table_binding, column_name)`` pairs to the
-values of the current row; contexts chain to their outer query's context
-so correlated subqueries resolve free column references.
+A :class:`Scope` is a column layout ``[(binding, name), ...]`` chained
+to the scope of its enclosing query; it resolves names to positions.
+A :class:`RowContext` is a scope that also carries one row's values, so
+the tree-walking :class:`Evaluator` can look names up as it goes. This
+interpreter runs only on ``optimize=False`` databases, where it is the
+slow oracle the compiled path (:mod:`repro.sqlengine.compiler`) is
+fuzzed against; both share :func:`compare` and :func:`like_regex`.
 """
 
 from __future__ import annotations
 
+import datetime as _dt
+import functools
 import re
 from typing import Any, Callable, Optional, Sequence
 
 from repro.sqlengine import nodes
 from repro.sqlengine.errors import ExecutionError
 from repro.sqlengine.functions import (
+    Accumulator,
     call_scalar,
     is_aggregate_function,
     is_scalar_function,
+    object_accumulator,
 )
 from repro.sqlengine.types import DataType, coerce
 
 
-class RowContext:
-    """Column bindings for one row, chained to an optional outer context."""
+class Scope:
+    """A column layout chained to an optional outer scope."""
 
     def __init__(
         self,
         columns: Sequence[tuple[Optional[str], str]],
-        values: Sequence[Any],
-        outer: Optional["RowContext"] = None,
+        outer: Optional["Scope"] = None,
     ) -> None:
         self.columns = list(columns)
-        self.values = list(values)
         self.outer = outer
         self._by_qualified: dict[tuple[str, str], int] = {}
         self._by_name: dict[str, list[int]] = {}
@@ -39,25 +45,6 @@ class RowContext:
             if binding is not None:
                 self._by_qualified[(binding.lower(), lowered)] = index
             self._by_name.setdefault(lowered, []).append(index)
-
-    def with_values(self, values: Sequence[Any]) -> "RowContext":
-        """Cheap clone sharing the column layout (hot loop path)."""
-        clone = RowContext.__new__(RowContext)
-        clone.columns = self.columns
-        clone.values = list(values)
-        clone.outer = self.outer
-        clone._by_qualified = self._by_qualified
-        clone._by_name = self._by_name
-        return clone
-
-    def lookup(self, name: str, table: Optional[str] = None) -> Any:
-        index = self.find(name, table)
-        if index is not None:
-            return self.values[index]
-        if self.outer is not None:
-            return self.outer.lookup(name, table)
-        qualified = f"{table}.{name}" if table else name
-        raise ExecutionError(f"unknown column: {qualified}")
 
     def find(self, name: str, table: Optional[str] = None) -> Optional[int]:
         lowered = name.lower()
@@ -70,14 +57,50 @@ class RowContext:
             raise ExecutionError(f"ambiguous column reference: {name}")
         return positions[0]
 
-    def has(self, name: str, table: Optional[str] = None) -> bool:
-        try:
-            found_here = self.find(name, table) is not None
-        except ExecutionError:
-            return True  # ambiguous means "present"
-        if found_here:
-            return True
-        return self.outer.has(name, table) if self.outer else False
+    def resolve(self, name: str, table: Optional[str] = None) -> tuple[int, int]:
+        """``(depth, index)`` of a column: depth 0 is this scope, depth
+        ``d`` the ``d``-th enclosing one. Unknown or ambiguous names
+        raise :class:`ExecutionError`."""
+        scope: Optional[Scope] = self
+        depth = 0
+        while scope is not None:
+            index = scope.find(name, table)
+            if index is not None:
+                return depth, index
+            scope = scope.outer
+            depth += 1
+        qualified = f"{table}.{name}" if table else name
+        raise ExecutionError(f"unknown column: {qualified}")
+
+
+class RowContext(Scope):
+    """Column bindings for one row, chained to an optional outer context."""
+
+    def __init__(
+        self,
+        columns: Sequence[tuple[Optional[str], str]],
+        values: Sequence[Any],
+        outer: Optional["RowContext"] = None,
+    ) -> None:
+        super().__init__(columns, outer)
+        self.values = list(values)
+
+    def with_values(self, values: Sequence[Any]) -> "RowContext":
+        """Cheap clone sharing the column layout (hot loop path)."""
+        clone = RowContext.__new__(RowContext)
+        clone.columns = self.columns
+        clone.values = list(values)
+        clone.outer = self.outer
+        clone._by_qualified = self._by_qualified
+        clone._by_name = self._by_name
+        return clone
+
+    def lookup(self, name: str, table: Optional[str] = None) -> Any:
+        depth, index = self.resolve(name, table)
+        context: Any = self
+        for _ in range(depth):
+            context = context.outer
+        return context.values[index]
 
 
 SubqueryRunner = Callable[[nodes.Select, Optional[RowContext]], "object"]
@@ -170,7 +193,7 @@ class Evaluator:
         if left is None or right is None:
             return None
         if op in ("=", "<>", "<", ">", "<=", ">="):
-            return self._compare(op, left, right)
+            return compare(op, left, right)
         try:
             if op == "+":
                 return left + right
@@ -199,37 +222,6 @@ class Evaluator:
             ) from None
         raise ExecutionError(f"unknown operator: {op}")
 
-    @staticmethod
-    def _compare(op: str, left: Any, right: Any) -> bool:
-        import datetime as _dt
-
-        # Allow DATE-vs-ISO-string comparisons, common in generated SQL.
-        if isinstance(left, _dt.date) and isinstance(right, str):
-            right = coerce(right, DataType.DATE)
-        elif isinstance(right, _dt.date) and isinstance(left, str):
-            left = coerce(left, DataType.DATE)
-        numeric = (int, float)
-        mixed_types = isinstance(left, numeric) != isinstance(right, numeric)
-        if mixed_types and op in ("=", "<>"):
-            # SQL engines vary here; equality across type groups is false.
-            return op == "<>"
-        try:
-            if op == "=":
-                return left == right
-            if op == "<>":
-                return left != right
-            if op == "<":
-                return left < right
-            if op == ">":
-                return left > right
-            if op == "<=":
-                return left <= right
-            return left >= right
-        except TypeError:
-            raise ExecutionError(
-                f"cannot compare {left!r} with {right!r}"
-            ) from None
-
     def _is_null(self, expr: nodes.IsNull, ctx: RowContext) -> bool:
         value = self.evaluate(expr.operand, ctx)
         return (value is not None) if expr.negated else (value is None)
@@ -239,7 +231,7 @@ class Evaluator:
         pattern = self.evaluate(expr.pattern, ctx)
         if value is None or pattern is None:
             return None
-        matched = _like_match(str(value), str(pattern))
+        matched = like_regex(str(pattern))(str(value)) is not None
         return (not matched) if expr.negated else matched
 
     def _between(self, expr: nodes.Between, ctx: RowContext) -> Any:
@@ -248,7 +240,7 @@ class Evaluator:
         high = self.evaluate(expr.high, ctx)
         if value is None or low is None or high is None:
             return None
-        inside = self._compare("<=", low, value) and self._compare(
+        inside = compare("<=", low, value) and compare(
             "<=", value, high
         )
         return (not inside) if expr.negated else inside
@@ -263,7 +255,7 @@ class Evaluator:
             if candidate is None:
                 saw_null = True
                 continue
-            if self._compare("=", value, candidate):
+            if compare("=", value, candidate):
                 return not expr.negated
         if saw_null:
             return None
@@ -280,7 +272,7 @@ class Evaluator:
             if candidate is None:
                 saw_null = True
                 continue
-            if self._compare("=", value, candidate):
+            if compare("=", value, candidate):
                 return not expr.negated
         if saw_null:
             return None
@@ -356,8 +348,105 @@ Evaluator._DISPATCH = {
 }
 
 
-def _like_match(value: str, pattern: str) -> bool:
-    """SQL LIKE with % and _ wildcards, case-insensitive."""
+class Interpreter:
+    """Binds expressions for the naive path (``optimize=False``).
+
+    The counterpart of :class:`repro.sqlengine.compiler.Compiler`, with
+    the same interface, so both paths share one pipeline. A bound
+    expression is a ``fn(row, env)`` that clones a :class:`RowContext`
+    template per row and walks the tree with :class:`Evaluator`; ``env``
+    is unused because the template already chains to the enclosing
+    query's context. Names are checked when binding, as the compiler
+    checks them, so both paths fail before any row is read.
+    """
+
+    def __init__(
+        self,
+        evaluator: Evaluator,
+        bind_subquery: Callable[[nodes.Select, Scope], Any],
+    ) -> None:
+        self._evaluator = evaluator
+        self._bind_subquery = bind_subquery
+
+    @staticmethod
+    def scope(columns, outer: Optional[Scope]) -> RowContext:
+        return RowContext(columns, [None] * len(columns), outer)  # type: ignore[arg-type]
+
+    @staticmethod
+    def direct_index(expr: nodes.Expression, scope: Scope) -> Optional[int]:
+        return None  # never specialize: every value goes through evaluate
+
+    def expression(
+        self,
+        expr: nodes.Expression,
+        scope: RowContext,
+        aggregates: Optional[dict[str, int]] = None,
+    ) -> Callable[[tuple, Any], Any]:
+        self._check_names(expr, scope)
+        evaluate = self._evaluator.evaluate
+        if not aggregates:
+            return lambda row, env: evaluate(expr, scope.with_values(row))
+
+        def grouped(row, env):
+            values = {key: row[index] for key, index in aggregates.items()}
+            return evaluate(
+                substitute_aggregates(expr, values), scope.with_values(row)
+            )
+
+        return grouped
+
+    def accumulator(
+        self, call: nodes.FunctionCall, scope: RowContext, slot: int
+    ) -> Accumulator:
+        arg = None
+        if call.args and not isinstance(call.args[0], nodes.Star):
+            arg = self.expression(call.args[0], scope)
+        return object_accumulator(call, slot, arg)
+
+    def _check_names(self, expr: nodes.Expression, scope: Scope) -> None:
+        for sub in nodes.walk_expressions(expr):
+            if isinstance(sub, nodes.ColumnRef):
+                scope.resolve(sub.name, sub.table)
+            elif isinstance(
+                sub, (nodes.InSubquery, nodes.Exists, nodes.ScalarSubquery)
+            ):
+                self._bind_subquery(sub.subquery, scope)
+
+
+def compare(op: str, left: Any, right: Any) -> bool:
+    """SQL comparison of two non-NULL values."""
+    # Allow DATE-vs-ISO-string comparisons, common in generated SQL.
+    if isinstance(left, _dt.date) and isinstance(right, str):
+        right = coerce(right, DataType.DATE)
+    elif isinstance(right, _dt.date) and isinstance(left, str):
+        left = coerce(left, DataType.DATE)
+    numeric = (int, float)
+    mixed_types = isinstance(left, numeric) != isinstance(right, numeric)
+    if mixed_types and op in ("=", "<>"):
+        # SQL engines vary here; equality across type groups is false.
+        return op == "<>"
+    try:
+        if op == "=":
+            return left == right
+        if op == "<>":
+            return left != right
+        if op == "<":
+            return left < right
+        if op == ">":
+            return left > right
+        if op == "<=":
+            return left <= right
+        return left >= right
+    except TypeError:
+        raise ExecutionError(
+            f"cannot compare {left!r} with {right!r}"
+        ) from None
+
+
+@functools.lru_cache(maxsize=256)
+def like_regex(pattern: str) -> Callable[[str], Any]:
+    """The ``fullmatch`` of SQL LIKE ``pattern`` (``%``/``_``
+    wildcards, case-insensitive)."""
     regex_parts = []
     for ch in pattern:
         if ch == "%":
@@ -367,4 +456,27 @@ def _like_match(value: str, pattern: str) -> bool:
         else:
             regex_parts.append(re.escape(ch))
     regex = "".join(regex_parts)
-    return re.fullmatch(regex, value, flags=re.IGNORECASE | re.DOTALL) is not None
+    return re.compile(regex, flags=re.IGNORECASE | re.DOTALL).fullmatch
+
+
+def substitute_aggregates(
+    expr: nodes.Expression, values: dict[str, Any]
+) -> nodes.Expression:
+    """``expr`` with every aggregate call whose key (see
+    :func:`aggregate_key`) is in ``values`` replaced by its result as a
+    literal. Subquery bodies are left alone: their aggregates belong to
+    the subquery."""
+    if isinstance(expr, nodes.FunctionCall) and is_aggregate_function(
+        expr.name
+    ):
+        key = aggregate_key(expr)
+        if key in values:
+            return nodes.Literal(values[key])
+    return nodes.map_children(
+        expr, lambda child: substitute_aggregates(child, values)
+    )
+
+
+def aggregate_key(call: nodes.FunctionCall) -> str:
+    """Aggregates are accumulated once per distinct call shape."""
+    return call.to_sql().upper()

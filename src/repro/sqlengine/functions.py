@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from repro.sqlengine import nodes
 from repro.sqlengine.errors import ExecutionError
 
 
@@ -281,3 +283,44 @@ def make_aggregate(name: str, star: bool, distinct: bool) -> Aggregate:
     if distinct:
         aggregate = _Distinct(aggregate)
     return aggregate
+
+
+@dataclass
+class Accumulator:
+    """One aggregate call bound to state slots of a group.
+
+    A group's state is a list ``[first_row, *slots]``; this aggregate
+    owns the slots from ``slot`` on (``len(initial)`` of them).
+    ``step(state, row, env)`` folds one input row in, ``final(state)``
+    returns the aggregate's value.
+    """
+
+    slot: int
+    initial: tuple
+    step: Callable[[list, tuple, Any], None]
+    final: Callable[[list], Any]
+    #: Builds a fresh mutable value for ``slot`` in each new group;
+    #: None when ``initial`` is immutable and can be shared.
+    factory: Optional[Callable[[], Any]] = None
+
+
+def object_accumulator(
+    call: nodes.FunctionCall,
+    slot: int,
+    arg: Optional[Callable[[tuple, Any], Any]],
+) -> Accumulator:
+    """Any aggregate ``call`` through its :class:`Aggregate` object,
+    fed ``arg(row, env)`` per row (presence only when ``arg`` is None,
+    as for ``COUNT(*)``)."""
+    star = bool(call.args) and isinstance(call.args[0], nodes.Star)
+
+    def factory() -> Aggregate:
+        return make_aggregate(call.name, star=star, distinct=call.distinct)
+
+    def step(state: list, row: tuple, env: Any) -> None:
+        state[slot].add(True if arg is None else arg(row, env))
+
+    def final(state: list) -> Any:
+        return state[slot].result()
+
+    return Accumulator(slot, (None,), step, final, factory)

@@ -24,6 +24,7 @@ mix of numbers and text cannot break the bisect invariants.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
@@ -116,6 +117,10 @@ class HashIndex(SecondaryIndex):
         return sum(len(v) for v in self._buckets.values())
 
 
+#: Range scans bisect on the first indexed column's encoded value.
+_FIRST = operator.itemgetter(0)
+
+
 class SortedIndex(SecondaryIndex):
     """Ordered index: bisect over ``sort_key``-encoded value tuples.
 
@@ -174,22 +179,22 @@ class SortedIndex(SecondaryIndex):
         ``None`` bounds are open. NULL rows are never in the index, so
         they are never produced (matching SQL comparison semantics).
         """
-        first = [key[0] for key in self._keys]
+        keys = self._keys
         lo = 0
-        hi = len(self._keys)
+        hi = len(keys)
         if low is not None:
             bound = sort_key(low)
             lo = (
-                bisect.bisect_left(first, bound)
+                bisect.bisect_left(keys, bound, key=_FIRST)
                 if low_inclusive
-                else bisect.bisect_right(first, bound)
+                else bisect.bisect_right(keys, bound, key=_FIRST)
             )
         if high is not None:
             bound = sort_key(high)
             hi = (
-                bisect.bisect_right(first, bound)
+                bisect.bisect_right(keys, bound, key=_FIRST)
                 if high_inclusive
-                else bisect.bisect_left(first, bound)
+                else bisect.bisect_left(keys, bound, key=_FIRST)
             )
         return self._positions[lo:hi]
 

@@ -7,7 +7,7 @@ Text-to-SQL evaluator (canonical exact-match) both rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -534,3 +534,41 @@ def walk_expressions(expr: Expression):
         children = ()
     for child in children:
         yield from walk_expressions(child)
+
+
+def map_children(expr: Expression, fn) -> Expression:
+    """``expr`` rebuilt with ``fn`` applied to each direct child (the
+    children :func:`walk_expressions` visits)."""
+    if isinstance(expr, (UnaryOp, IsNull, Cast, InSubquery)):
+        return replace(expr, operand=fn(expr.operand))
+    if isinstance(expr, BinaryOp):
+        return replace(expr, left=fn(expr.left), right=fn(expr.right))
+    if isinstance(expr, Like):
+        return replace(
+            expr, operand=fn(expr.operand), pattern=fn(expr.pattern)
+        )
+    if isinstance(expr, Between):
+        return replace(
+            expr,
+            operand=fn(expr.operand),
+            low=fn(expr.low),
+            high=fn(expr.high),
+        )
+    if isinstance(expr, InList):
+        return replace(
+            expr,
+            operand=fn(expr.operand),
+            items=tuple(fn(item) for item in expr.items),
+        )
+    if isinstance(expr, FunctionCall):
+        return replace(expr, args=tuple(fn(arg) for arg in expr.args))
+    if isinstance(expr, Case):
+        return replace(
+            expr,
+            branches=tuple(
+                (fn(condition), fn(result))
+                for condition, result in expr.branches
+            ),
+            default=None if expr.default is None else fn(expr.default),
+        )
+    return expr

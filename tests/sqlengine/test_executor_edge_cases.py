@@ -177,3 +177,93 @@ class TestMiscEdgeCases:
             "ORDER BY 1"
         ).rows
         assert rows == [("east",), ("north",), ("south",)]
+
+
+@pytest.fixture(params=[True, False], ids=["planned", "naive"])
+def tv(request):
+    """A small table on the planned (compiled) and the naive path."""
+    database = Database(optimize=request.param)
+    database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT)")
+    database.insert_rows(
+        "t", [(1, 1, "apple"), (2, 1, "avocado"), (3, 2, None), (4, 3, "kiwi")]
+    )
+    database.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, k INTEGER)")
+    return database
+
+
+class TestAggregatesUnderPredicates:
+    """Aggregates nested under BETWEEN, IN, IS NULL and LIKE in HAVING
+    or ORDER BY read their group's result."""
+
+    def test_having_sum_between(self, tv):
+        rows = tv.execute(
+            "SELECT k FROM t GROUP BY k HAVING SUM(id) BETWEEN 2 AND 4 "
+            "ORDER BY k"
+        ).rows
+        assert rows == [(1,), (2,), (3,)]
+
+    def test_having_count_in_list(self, tv):
+        rows = tv.execute(
+            "SELECT k FROM t GROUP BY k HAVING COUNT(*) IN (2, 5) ORDER BY k"
+        ).rows
+        assert rows == [(1,)]
+
+    def test_having_max_is_null(self, tv):
+        rows = tv.execute(
+            "SELECT k FROM t GROUP BY k HAVING MAX(v) IS NULL"
+        ).rows
+        assert rows == [(2,)]
+
+    def test_having_max_like(self, tv):
+        rows = tv.execute(
+            "SELECT k FROM t GROUP BY k HAVING MAX(v) LIKE 'a%'"
+        ).rows
+        assert rows == [(1,)]
+
+    def test_order_by_count_between(self, tv):
+        rows = tv.execute(
+            "SELECT k FROM t GROUP BY k ORDER BY COUNT(*) BETWEEN 1 AND 1, k"
+        ).rows
+        assert rows == [(1,), (2,), (3,)]
+
+
+class TestCompoundLimit:
+    def test_non_integer_limit_is_an_execution_error(self, tv):
+        with pytest.raises(ExecutionError, match="LIMIT/OFFSET"):
+            tv.execute("SELECT id FROM t UNION SELECT k FROM t LIMIT 'x'")
+
+    def test_null_offset_is_an_execution_error(self, tv):
+        with pytest.raises(ExecutionError, match="LIMIT/OFFSET"):
+            tv.execute("SELECT id FROM t LIMIT 2 OFFSET NULL")
+
+
+class TestNamesResolveBeforeRows:
+    """Unknown and ambiguous columns fail when the statement is bound,
+    not when (or if) a row reaches the expression."""
+
+    def test_unknown_column_over_empty_table(self, tv):
+        with pytest.raises(ExecutionError, match="unknown column: nope"):
+            tv.execute("SELECT nope FROM u")
+
+    def test_unknown_column_when_filter_rejects_every_row(self, tv):
+        with pytest.raises(ExecutionError, match="unknown column: nope"):
+            tv.execute("SELECT nope FROM t WHERE 1 = 0")
+
+    def test_unknown_outer_reference_in_correlated_subquery(self, tv):
+        with pytest.raises(ExecutionError, match="unknown column: w.x"):
+            tv.execute(
+                "SELECT id FROM u WHERE EXISTS "
+                "(SELECT 1 FROM t WHERE t.k = w.x)"
+            )
+
+    def test_ambiguous_column_over_empty_join(self, tv):
+        with pytest.raises(ExecutionError, match="ambiguous"):
+            tv.execute("SELECT id FROM u JOIN t ON u.k = t.k WHERE 1 = 0")
+
+
+class TestOrderByWithStarSelectList:
+    def test_hidden_sort_column_after_expanded_star(self, tv):
+        # The star expands before ORDER BY items are matched to output
+        # columns, so ``id`` sorts by id, not by the hidden t.k column.
+        rows = tv.execute("SELECT *, k AS kk FROM t ORDER BY id DESC, t.k").rows
+        assert [row[0] for row in rows] == [4, 3, 2, 1]
